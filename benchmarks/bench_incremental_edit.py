@@ -11,7 +11,9 @@ The run FAILS — exit 1 — unless the acceptance bounds hold:
   edited sources;
 * the re-checked set is at most ``--max-dirty-fraction`` of the project
   (default 5%; the edit above dirties exactly one class);
-* the reuse ratio meets ``--reuse-floor`` (default 0.95).
+* the reuse ratio meets ``--reuse-floor`` (default 0.95);
+* the warm run parses only the edited file (every other file's bytes
+  are unchanged, so its classes come from the state).
 
 Cold and warm wall clocks go to stdout and to ``--out`` as JSON — the
 CI incremental job uploads that file as an artifact, so the warm/cold
@@ -37,7 +39,7 @@ if not any(Path(p).resolve() == REPO_ROOT / "src" for p in sys.path if p):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.engine import BatchVerifier, verify_incremental  # noqa: E402
-from repro.frontend.project import parse_project  # noqa: E402
+from repro.frontend.project import parse_project, read_project  # noqa: E402
 from repro.workloads.hierarchy import (  # noqa: E402
     HierarchyShape,
     grid_project_files,
@@ -62,12 +64,9 @@ def main(argv: list[str] | None = None) -> int:
     classes = args.layers * args.width
     print(f"grid project: {classes} classes in {len(files)} files")
 
-    module, violations = parse_project(project_root)
-    assert len(module.classes) == classes
-
     started = time.perf_counter()
     cold = verify_incremental(
-        module, violations, state_file=state_file, jobs=args.jobs
+        read_project(project_root), state_file=state_file, jobs=args.jobs
     )
     cold_seconds = time.perf_counter() - started
     assert cold.plan.cold and cold.batch.ok, "cold grid run must verify"
@@ -79,24 +78,28 @@ def main(argv: list[str] | None = None) -> int:
     leaf = project_root / "G0_000.py"
     leaf.write_text("\n\n" + leaf.read_text(encoding="utf-8"), encoding="utf-8")
 
-    module, violations = parse_project(project_root)
     started = time.perf_counter()
     warm = verify_incremental(
-        module, violations, state_file=state_file, jobs=args.jobs
+        read_project(project_root), state_file=state_file, jobs=args.jobs
     )
     warm_seconds = time.perf_counter() - started
     dirty = len(warm.plan.dirty)
     ratio = warm.batch.metrics.reuse_ratio
+    parsed = warm.plan.project.parsed_files
     print(
         f"warm run:  {warm_seconds * 1000:8.1f} ms  "
         f"({dirty} re-checked, {len(warm.plan.reused)} spliced, "
-        f"{ratio:.1%} reuse)"
+        f"{ratio:.1%} reuse, {len(parsed)} file(s) parsed)"
     )
 
+    module, violations = parse_project(project_root)
+    assert len(module.classes) == classes
     reference = BatchVerifier(module, violations, jobs=args.jobs).run()
     failures: list[str] = []
     if warm.batch.merged().format() != reference.merged().format():
         failures.append("warm incremental report differs from a cold run")
+    if parsed != (str(leaf),):
+        failures.append(f"expected only {leaf} parsed, got {parsed}")
     if warm.plan.dirty != ("G0_000",):
         failures.append(f"expected dirty == ('G0_000',), got {warm.plan.dirty}")
     if dirty > args.max_dirty_fraction * classes:
@@ -120,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         "dirty": dirty,
         "reused": len(warm.plan.reused),
         "reuse_ratio": ratio,
+        "files_parsed": len(parsed),
         "ok": not failures,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))

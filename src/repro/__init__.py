@@ -26,25 +26,32 @@ Package map (details in DESIGN.md):
 * :mod:`repro.paper` -- the paper's listings as reusable fixtures.
 """
 
-from repro.core.checker import Checker, check_path, check_source
-from repro.core.dependency import extract_dependency_graph
-from repro.engine import BatchVerifier, InferenceCache, verify_path
-from repro.core.diagnostics import CheckResult, Diagnostic, Severity
-from repro.core.spec import ClassSpec
-from repro.frontend.decorators import (
-    claim,
-    op,
-    op_final,
-    op_initial,
-    op_initial_final,
-    sys,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.checker": ("Checker", "check_path", "check_source"),
+        "repro.core.dependency": ("extract_dependency_graph",),
+        "repro.engine": ("BatchVerifier", "InferenceCache", "verify_path"),
+        "repro.core.diagnostics": ("CheckResult", "Diagnostic", "Severity"),
+        "repro.core.spec": ("ClassSpec",),
+        "repro.frontend.decorators": (
+            "claim",
+            "op",
+            "op_final",
+            "op_initial",
+            "op_initial_final",
+            "sys",
+        ),
+        "repro.frontend.parse": ("parse_file", "parse_module"),
+        "repro.lang.inference": ("behavior", "infer"),
+        "repro.lang.metatheory": ("check_all_theorems",),
+        "repro.ltlf.parser": ("parse_claim",),
+        "repro.regex.ast": ("format_regex",),
+        "repro.runtime.monitor": ("finalize", "lifecycle", "monitored"),
+    },
 )
-from repro.frontend.parse import parse_file, parse_module
-from repro.lang.inference import behavior, infer
-from repro.lang.metatheory import check_all_theorems
-from repro.ltlf.parser import parse_claim
-from repro.regex.ast import format_regex
-from repro.runtime.monitor import finalize, lifecycle, monitored
 
 __version__ = "1.0.0"
 

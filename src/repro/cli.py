@@ -81,6 +81,16 @@ def _load(path: str):
         raise SystemExit(f"error: cannot parse {path}: {error}")
 
 
+def _read(path: str):
+    """The check target's files, read and hashed but not parsed."""
+    from repro.frontend.project import read_project
+
+    try:
+        return read_project(path)
+    except FileNotFoundError:
+        raise SystemExit(f"error: no such file: {path}")
+
+
 def _select_class(module: ParsedModule, name: str | None, path: str):
     if name is None:
         if len(module.classes) == 1:
@@ -216,13 +226,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # Process-pool workers read the spec from the environment.
         os.environ[faults.FAULTS_ENV] = args.faults
     try:
+        incremental = args.incremental or args.since_state is not None
+        # An incremental run only reads and hashes here; its planner
+        # parses the files it needs.
+        load = _read if incremental else _load
         if tracer is not None:
             with tracer.span("phase", "parse", file=args.file):
-                module, violations = _load(args.file)
+                loaded = load(args.file)
         else:
-            module, violations = _load(args.file)
+            loaded = load(args.file)
+        if not incremental:
+            module, violations = loaded
         cache = _build_cache(args)
-        incremental = args.incremental or args.since_state is not None
         try:
             if sharded:
                 from repro.engine import (
@@ -267,19 +282,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     if args.since_state is not None
                     else engine_state.state_path(args.cache_dir)
                 )
-                outcome = verify_incremental(
-                    module,
-                    violations,
-                    state_file=state_file,
-                    jobs=args.jobs,
-                    executor=args.executor,
-                    cache=cache,
-                    timeout=args.timeout,
-                    max_states=args.max_states,
-                    retries=args.retries,
-                    fail_fast=args.fail_fast,
-                    tracer=tracer,
-                )
+                try:
+                    outcome = verify_incremental(
+                        loaded,
+                        state_file=state_file,
+                        jobs=args.jobs,
+                        executor=args.executor,
+                        cache=cache,
+                        timeout=args.timeout,
+                        max_states=args.max_states,
+                        retries=args.retries,
+                        fail_fast=args.fail_fast,
+                        tracer=tracer,
+                    )
+                except FrontendError as error:
+                    raise SystemExit(f"error: cannot parse {args.file}: {error}")
                 batch = outcome.batch
                 if outcome.save is not None and not outcome.save.ok:
                     reason = outcome.save.reason or (
@@ -581,6 +598,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
         f"  classes   {len(state.classes)} recorded, {verified} with a "
         "stored verdict"
     )
+    print(f"  files     {len(state.files)} recorded")
     for name, entry in sorted(state.classes.items()):
         if entry.diagnostics is None:
             verdict = "unverified"

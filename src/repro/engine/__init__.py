@@ -38,76 +38,83 @@ Quickstart::
     print(result.metrics.format())
 """
 
-from repro.engine.cache import CacheStats, InferenceCache
-from repro.engine.backends import (
-    CacheBackend,
-    LocalDirBackend,
-    RemoteHTTPBackend,
-    RemoteUnavailable,
-    TieredBackend,
-)
-from repro.engine.engine import (
-    BatchResult,
-    BatchVerifier,
-    EngineAborted,
-    EngineError,
-    VerificationPlan,
-    cached_behavior_dfa,
-    verify_module,
-    verify_path,
-)
-from repro.engine.faults import (
-    FaultPlan,
-    FaultRule,
-    FaultSpecError,
-    InjectedFault,
-    InjectedLockTimeout,
-    WorkerKilled,
-    parse_faults,
-)
-from repro.engine.locking import FileLock, LockTimeout, lock_for
-from repro.engine.fingerprint import (
-    class_fingerprint,
-    class_key,
-    method_key,
-    spec_fingerprint,
-)
-from repro.engine.incremental import (
-    IncrementalPlan,
-    IncrementalResult,
-    plan_incremental,
-    snapshot_state,
-    verify_incremental,
-)
-from repro.engine.metrics import ClassTiming, EngineMetrics
-from repro.engine.scheduler import (
-    prune_waves,
-    schedule,
-    subsystem_dependencies,
-    topological_waves,
-)
-from repro.engine.serialize import diagnostic_from_dict, diagnostic_to_dict
-from repro.engine.shard import (
-    CoordinatedRun,
-    ShardPlan,
-    ShardResult,
-    coordinate,
-    merge_shard_results,
-    plan_shards,
-    run_shard,
-    shard_result_from_dict,
-    shard_result_to_dict,
-)
-from repro.engine.state import (
-    STATE_VERSION,
-    ClassState,
-    ProjectState,
-    SaveReport,
-    load_state,
-    merge_states,
-    remove_state,
-    save_state,
-    state_path,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.engine.cache": ("CacheStats", "InferenceCache"),
+        "repro.engine.backends": (
+            "CacheBackend",
+            "LocalDirBackend",
+            "RemoteHTTPBackend",
+            "RemoteUnavailable",
+            "TieredBackend",
+        ),
+        "repro.engine.engine": (
+            "BatchResult",
+            "BatchVerifier",
+            "EngineAborted",
+            "EngineError",
+            "VerificationPlan",
+            "cached_behavior_dfa",
+            "verify_module",
+            "verify_path",
+        ),
+        "repro.engine.faults": (
+            "FaultPlan",
+            "FaultRule",
+            "FaultSpecError",
+            "InjectedFault",
+            "InjectedLockTimeout",
+            "WorkerKilled",
+            "parse_faults",
+        ),
+        "repro.engine.locking": ("FileLock", "LockTimeout", "lock_for"),
+        "repro.engine.fingerprint": (
+            "class_fingerprint",
+            "class_key",
+            "method_key",
+            "spec_fingerprint",
+        ),
+        "repro.engine.incremental": (
+            "IncrementalPlan",
+            "IncrementalResult",
+            "plan_incremental",
+            "snapshot_state",
+            "verify_incremental",
+        ),
+        "repro.engine.metrics": ("ClassTiming", "EngineMetrics"),
+        "repro.engine.scheduler": (
+            "prune_waves",
+            "schedule",
+            "subsystem_dependencies",
+            "topological_waves",
+        ),
+        "repro.engine.serialize": ("diagnostic_from_dict", "diagnostic_to_dict"),
+        "repro.engine.shard": (
+            "CoordinatedRun",
+            "ShardPlan",
+            "ShardResult",
+            "coordinate",
+            "merge_shard_results",
+            "plan_shards",
+            "run_shard",
+            "shard_result_from_dict",
+            "shard_result_to_dict",
+        ),
+        "repro.engine.state": (
+            "STATE_VERSION",
+            "ClassState",
+            "ProjectState",
+            "SaveReport",
+            "load_state",
+            "merge_states",
+            "remove_state",
+            "save_state",
+            "state_path",
+        ),
+    },
 )
 
 __all__ = [

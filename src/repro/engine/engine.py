@@ -46,7 +46,6 @@ from concurrent.futures import (
     BrokenExecutor,
     Executor,
     Future,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
@@ -431,6 +430,10 @@ class BatchVerifier:
     def _make_pool(self, width: int) -> Executor:
         workers = min(self.jobs, width)
         if self.executor == "process":
+            # Imported here: it loads ``multiprocessing``, which thread
+            # and serial runs never need.
+            from concurrent.futures import ProcessPoolExecutor
+
             return ProcessPoolExecutor(max_workers=workers)
         return ThreadPoolExecutor(max_workers=workers)
 

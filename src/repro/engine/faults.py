@@ -84,7 +84,6 @@ from __future__ import annotations
 import errno
 import fnmatch
 import hashlib
-import multiprocessing
 import os
 import signal
 import threading
@@ -210,6 +209,8 @@ class FaultPlan:
         elif rule.action == "raise":
             raise InjectedFault(f"injected fault at {site} for {key!r}")
         elif rule.action == "kill":
+            import multiprocessing
+
             if multiprocessing.parent_process() is not None:
                 os._exit(KILL_EXIT_CODE)  # a process-pool child: die hard
             raise WorkerKilled(f"injected worker kill at {site} for {key!r}")

@@ -29,6 +29,14 @@ was not recorded" (the next run is colder, never wrong) and comes back
 as a structured :class:`SaveReport` instead of vanishing in a silent
 ``except``.
 
+Next to the class table sits a **file table** (version 3): for every
+project file, its path relative to the project root, the SHA-256 of its
+bytes, its ``@sys`` classes in source order (with the line of each and
+the class-level subset findings of :func:`repro.frontend.subset.validate_class`),
+and the file's frontend violations.  A file whose bytes are unchanged
+parses to exactly what the table records, so the planner reads
+everything it needs about such a file from here instead of parsing it.
+
 Classes the supervisor quarantined are stored with ``diagnostics=None``
 ("digests known, verdict unknown"): the next incremental run re-checks
 them without also dirtying their dependents, whose view of the class —
@@ -38,19 +46,20 @@ its spec structure — was computed from the parse and is still valid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.engine import store
 from repro.engine.fingerprint import FINGERPRINT_VERSION
 from repro.engine.locking import LockTimeout, lock_for
+from repro.frontend.model_ast import SubsetViolation
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 #: Bump when the state payload shape changes; old files then fall back
 #: to a cold run instead of being misread.  Version 2 added the
-#: checksum seal and the generation counter.
-STATE_VERSION = 2
+#: checksum seal and the generation counter; version 3 the file table.
+STATE_VERSION = 3
 
 #: Deadline for the state write lock; a timed-out save is skipped (and
 #: reported), never forced — state is an optimization, not an output.
@@ -105,6 +114,74 @@ class ClassState:
         }
 
 
+def _violation_to_dict(violation: SubsetViolation) -> dict[str, Any]:
+    return {
+        "code": violation.code,
+        "message": violation.message,
+        "lineno": violation.lineno,
+        "class_name": violation.class_name,
+        "severity": violation.severity,
+    }
+
+
+def _violation_from_dict(data: Any) -> SubsetViolation | None:
+    """One stored violation, or ``None`` when it is malformed."""
+    if not isinstance(data, dict):
+        return None
+    strings = [data.get(key) for key in ("code", "message", "class_name", "severity")]
+    lineno = data.get("lineno")
+    if not all(isinstance(value, str) for value in strings) or type(lineno) is not int:
+        return None
+    code, message, class_name, severity = strings
+    return SubsetViolation(
+        code=code,
+        message=message,
+        lineno=lineno,
+        class_name=class_name,
+        severity=severity,
+    )
+
+
+@dataclass(frozen=True)
+class FileClass:
+    """One ``@sys`` class as its file defines it."""
+
+    name: str
+    lineno: int
+    #: :func:`repro.frontend.subset.validate_class` findings.
+    violations: tuple[SubsetViolation, ...] = ()
+
+    def to_dict(self) -> dict[str, Any]:
+        entry: dict[str, Any] = {"name": self.name, "lineno": self.lineno}
+        if self.violations:
+            entry["violations"] = [_violation_to_dict(v) for v in self.violations]
+        return entry
+
+
+@dataclass(frozen=True)
+class FileState:
+    """What the last run parsed out of one project file."""
+
+    #: POSIX path relative to the project root.
+    path: str
+    #: SHA-256 of the file's bytes.
+    digest: str
+    #: The file's ``@sys`` classes in source order (duplicates included).
+    classes: tuple[FileClass, ...]
+    #: Frontend violations of the file (a syntax error, subset findings).
+    violations: tuple[SubsetViolation, ...] = ()
+
+    def to_dict(self) -> dict[str, Any]:
+        entry: dict[str, Any] = {
+            "path": self.path,
+            "digest": self.digest,
+            "classes": [defined.to_dict() for defined in self.classes],
+        }
+        if self.violations:
+            entry["violations"] = [_violation_to_dict(v) for v in self.violations]
+        return entry
+
+
 @dataclass(frozen=True)
 class ProjectState:
     """The complete recorded outcome of one project run."""
@@ -115,6 +192,9 @@ class ProjectState:
     #: stores the on-disk generation + 1, so concurrent writers are
     #: observable and "did someone write since I loaded?" is a compare.
     generation: int = 0
+    #: The file table, in project path order (empty for a run on an
+    #: in-memory module).
+    files: tuple[FileState, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -126,6 +206,7 @@ class ProjectState:
                 name: entry.to_dict()
                 for name, entry in sorted(self.classes.items())
             },
+            "files": [entry.to_dict() for entry in self.files],
         }
 
 
@@ -169,6 +250,47 @@ def _class_state_from_dict(name: str, data: Any) -> ClassState | None:
         wave=wave,
         seconds=float(seconds),
     )
+
+
+def _violations_from_list(data: Any) -> tuple[SubsetViolation, ...] | None:
+    if data is None:  # omitted when empty
+        return ()
+    if not isinstance(data, list):
+        return None
+    violations = tuple(_violation_from_dict(entry) for entry in data)
+    return None if None in violations else violations
+
+
+def _file_state_from_dict(data: Any) -> FileState | None:
+    """One file-table entry, or ``None`` when it is malformed."""
+    if not isinstance(data, dict):
+        return None
+    path = data.get("path")
+    digest = data.get("digest")
+    raw_classes = data.get("classes")
+    violations = _violations_from_list(data.get("violations"))
+    if (
+        not isinstance(path, str)
+        or not isinstance(digest, str)
+        or not isinstance(raw_classes, list)
+        or violations is None
+    ):
+        return None
+    classes: list[FileClass] = []
+    for entry in raw_classes:
+        if not isinstance(entry, dict):
+            return None
+        name = entry.get("name")
+        lineno = entry.get("lineno")
+        class_violations = _violations_from_list(entry.get("violations"))
+        if (
+            not isinstance(name, str)
+            or type(lineno) is not int
+            or class_violations is None
+        ):
+            return None
+        classes.append(FileClass(name, lineno, class_violations))
+    return FileState(path, digest, tuple(classes), violations)
 
 
 def load_state(path: str | Path) -> tuple[ProjectState | None, str | None]:
@@ -216,6 +338,15 @@ def load_state(path: str | Path) -> tuple[ProjectState | None, str | None]:
             # simply looks "never seen before" and gets re-checked.
             continue
         classes[name] = entry
+    raw_files = envelope.get("files")
+    if not isinstance(raw_files, list):
+        return None, "corrupt state file (no file table)"
+    files = tuple(map(_file_state_from_dict, raw_files))
+    if None in files or len({entry.path for entry in files}) != len(files):
+        # Which file defined a class is read off the whole table, so a
+        # damaged table is dropped as a whole: every file then parses
+        # again, and class verdicts are still reused by fingerprint.
+        files = ()
     source_name = envelope.get("source_name")
     generation = envelope.get("generation")
     return (
@@ -223,6 +354,7 @@ def load_state(path: str | Path) -> tuple[ProjectState | None, str | None]:
             classes=classes,
             source_name=source_name if isinstance(source_name, str) else "",
             generation=generation if isinstance(generation, int) else 0,
+            files=files,
         ),
         None,
     )
@@ -280,6 +412,7 @@ def merge_states(
             classes=classes,
             source_name=fresh.source_name,
             generation=fresh.generation,
+            files=fresh.files,
         ),
         kept,
     )
@@ -336,11 +469,7 @@ def save_state(
                         "state-merge", kept=merged_classes,
                         generation=generation,
                     )
-        merged = ProjectState(
-            classes=merged.classes,
-            source_name=merged.source_name,
-            generation=generation,
-        )
+        merged = replace(merged, generation=generation)
         text = json.dumps(store.seal(merged.to_dict()), indent=2, sort_keys=True)
         try:
             store.atomic_write_text(path, text, fault_key="state", fsync=True)

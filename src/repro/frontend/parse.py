@@ -251,7 +251,40 @@ def parse_module(
     return ParsedModule(classes=tuple(classes), source_name=source_name), violations
 
 
-def parse_file(path: str | Path) -> tuple[ParsedModule, list[SubsetViolation]]:
-    """Parse an annotated MicroPython file."""
+def _decode_source(data: bytes, source_name: str) -> str:
+    """The text of a source file's bytes, exactly as ``read_text`` sees it.
+
+    UTF-8 with universal newlines.  Bytes that are not UTF-8 raise a
+    :class:`FrontendError` carrying one ``syntax-error`` violation at the
+    line of the first bad byte, so an undecodable file is reported like
+    any other file that does not parse.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise FrontendError(
+            [
+                SubsetViolation(
+                    code="syntax-error",
+                    message=f"{source_name} is not valid UTF-8: {error}",
+                    lineno=data.count(b"\n", 0, error.start) + 1,
+                )
+            ]
+        ) from error
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def parse_file(
+    path: str | Path, data: bytes | None = None
+) -> tuple[ParsedModule, list[SubsetViolation]]:
+    """Parse an annotated MicroPython file.
+
+    ``data`` is the file's content when the caller already holds it
+    (the incremental planner parses the very bytes it hashed).
+    """
     path = Path(path)
-    return parse_module(path.read_text(encoding="utf-8"), source_name=str(path))
+    if data is None:
+        data = path.read_bytes()
+    return parse_module(_decode_source(data, str(path)), source_name=str(path))

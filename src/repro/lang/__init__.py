@@ -29,26 +29,35 @@ from repro.lang.ast import (
 )
 from repro.lang.builder import call, if_, loop, paper_example_program, ret, seq, skip
 from repro.lang.inference import Behavior, behavior, exit_behaviors, infer
-from repro.lang.metatheory import (
-    TheoremReport,
-    check_all_theorems,
-    check_completeness,
-    check_ongoing_lemma,
-    check_regularity,
-    check_returned_lemma,
-    check_soundness,
-    check_theorem,
-    theorem_names,
-)
-from repro.lang.semantics import (
-    ONGOING,
-    RETURNED,
-    Status,
-    derivable,
-    language,
-    ongoing_traces,
-    returned_traces,
-    traces,
+from repro._lazy import lazy_exports
+
+# The executable metatheory and the trace semantics it checks against
+# load on first use: checking a project needs neither.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lang.metatheory": (
+            "TheoremReport",
+            "check_all_theorems",
+            "check_completeness",
+            "check_ongoing_lemma",
+            "check_regularity",
+            "check_returned_lemma",
+            "check_soundness",
+            "check_theorem",
+            "theorem_names",
+        ),
+        "repro.lang.semantics": (
+            "ONGOING",
+            "RETURNED",
+            "Status",
+            "derivable",
+            "language",
+            "ongoing_traces",
+            "returned_traces",
+            "traces",
+        ),
+    },
 )
 
 __all__ = [

@@ -22,14 +22,17 @@ from repro.engine.incremental import (
 from repro.engine.state import (
     STATE_VERSION,
     ClassState,
+    FileClass,
+    FileState,
     ProjectState,
     load_state,
     remove_state,
     save_state,
     state_path,
 )
-from repro.frontend.model_ast import ParsedModule
+from repro.frontend.model_ast import ParsedModule, SubsetViolation
 from repro.frontend.parse import parse_module
+from repro.frontend.project import read_project
 
 
 def base_source(name, pad=0, extra_step=False):
@@ -290,6 +293,56 @@ class TestStateFile:
         assert reason is None
         assert set(state.classes) == {"Good"}
 
+    def test_file_table_round_trip(self, tmp_path):
+        path = tmp_path / "state.json"
+        violation = SubsetViolation("self-invocation", "no", 4, "Base")
+        files = (
+            FileState(
+                path="pkg/a.py",
+                digest="d" * 64,
+                classes=(FileClass("Base", 2, (violation,)),),
+                violations=(SubsetViolation("syntax-error", "bad", 9),),
+            ),
+            FileState(path="b.py", digest="e" * 64, classes=()),
+        )
+        save_state(
+            path,
+            ProjectState(classes={"Base": self.entry()}, files=files),
+        )
+        loaded, reason = load_state(path)
+        assert reason is None
+        assert loaded.files == files
+
+    def test_damaged_file_table_is_dropped_whole(self, tmp_path):
+        path = tmp_path / "state.json"
+        files = (
+            FileState(path="a.py", digest="d" * 64, classes=()),
+            FileState(path="b.py", digest="e" * 64, classes=()),
+        )
+        save_state(path, ProjectState(classes={"Base": self.entry()}, files=files))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["files"][1]["digest"] = 7
+        payload.pop(store.CHECKSUM_KEY, None)
+        path.write_text(json.dumps(store.seal(payload)), encoding="utf-8")
+        state, reason = load_state(path)
+        assert reason is None
+        assert state.files == ()
+        assert set(state.classes) == {"Base"}
+
+    def test_version_2_state_runs_cold_once(self, tmp_path):
+        sources = {"Base": base_source("Base")}
+        state_file = tmp_path / "state.json"
+        run_and_snapshot(sources, state_file)
+        payload = json.loads(state_file.read_text(encoding="utf-8"))
+        payload["state_version"] = 2
+        del payload["files"]
+        payload.pop(store.CHECKSUM_KEY, None)
+        state_file.write_text(json.dumps(store.seal(payload)), encoding="utf-8")
+        outcome = run_and_snapshot(sources, state_file)
+        assert outcome.plan.cold
+        assert "state version 2" in outcome.plan.cold_reason
+        assert run_and_snapshot(sources, state_file).plan.reused == ("Base",)
+
     def test_remove_state(self, tmp_path):
         path = tmp_path / "state.json"
         save_state(path, ProjectState())
@@ -298,6 +351,63 @@ class TestStateFile:
 
     def test_state_path_is_colocated_with_cache(self, tmp_path):
         assert state_path(tmp_path) == tmp_path / "state.json"
+
+
+class TestProjectFiles:
+    """The digest-first planner on a project directory."""
+
+    def write(self, root, sources):
+        root.mkdir(exist_ok=True)
+        for name, text in sources.items():
+            (root / f"{name}.py").write_text(text, encoding="utf-8")
+
+    def test_unchanged_project_parses_nothing(self, tmp_path):
+        root = tmp_path / "p"
+        self.write(root, {"Base": base_source("Base"), "Ctl": comp_source("Ctl", "Base")})
+        state_file = tmp_path / "state.json"
+        cold = verify_incremental(read_project(root), state_file=state_file)
+        assert cold.plan.cold and len(cold.plan.project.parsed_files) == 2
+        warm = verify_incremental(read_project(root), state_file=state_file)
+        assert warm.plan.project.parsed_files == ()
+        assert warm.plan.reused == ("Base", "Ctl")
+        assert warm.batch.merged().format() == cold.batch.merged().format()
+        assert warm.state.files == cold.state.files
+
+    def test_damaged_file_table_parses_all_but_reuses_verdicts(self, tmp_path):
+        root = tmp_path / "p"
+        self.write(root, {"Base": base_source("Base"), "Ctl": comp_source("Ctl", "Base")})
+        state_file = tmp_path / "state.json"
+        verify_incremental(read_project(root), state_file=state_file)
+        payload = json.loads(state_file.read_text(encoding="utf-8"))
+        payload["files"][0]["classes"] = "garbage"
+        payload.pop(store.CHECKSUM_KEY, None)
+        state_file.write_text(json.dumps(store.seal(payload)), encoding="utf-8")
+        outcome = verify_incremental(read_project(root), state_file=state_file)
+        assert len(outcome.plan.project.parsed_files) == 2
+        assert outcome.plan.dirty == ()
+
+    def test_other_project_root_does_not_reuse_the_file_table(self, tmp_path):
+        sources = {"Base": base_source("Base")}
+        self.write(tmp_path / "p", sources)
+        self.write(tmp_path / "q", sources)
+        state_file = tmp_path / "state.json"
+        verify_incremental(read_project(tmp_path / "p"), state_file=state_file)
+        outcome = verify_incremental(
+            read_project(tmp_path / "q"), state_file=state_file
+        )
+        # File messages name their path, so another root parses again;
+        # the verdict itself is still reused by fingerprint.
+        assert outcome.plan.project.parsed_files == (str(tmp_path / "q" / "Base.py"),)
+        assert outcome.plan.reused == ("Base",)
+
+    def test_single_file_target(self, tmp_path):
+        target = tmp_path / "m.py"
+        target.write_text(base_source("Base"), encoding="utf-8")
+        state_file = tmp_path / "state.json"
+        verify_incremental(read_project(target), state_file=state_file)
+        warm = verify_incremental(read_project(target), state_file=state_file)
+        assert warm.plan.project.parsed_files == ()
+        assert warm.plan.reused == ("Base",)
 
 
 class TestQuarantine:

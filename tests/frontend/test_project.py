@@ -51,6 +51,21 @@ class TestParseProject:
         assert any(v.code == "syntax-error" for v in violations)
         assert module.get_class("Valve") is not None
 
+    def test_undecodable_file_is_a_syntax_error_violation(self, tmp_path):
+        (tmp_path / "a.py").write_bytes(b'\n\nx = "\xff"\n')
+        (tmp_path / "drivers.py").write_text(VALVE, encoding="utf-8")
+        module, violations = parse_project(tmp_path)
+        assert [(v.code, v.lineno) for v in violations] == [("syntax-error", 3)]
+        assert "not valid UTF-8" in violations[0].message
+        assert module.get_class("Valve") is not None
+
+    def test_crlf_source_parses_like_lf(self, tmp_path):
+        (tmp_path / "lf.py").write_text(VALVE, encoding="utf-8")
+        lf, _ = parse_project(tmp_path)
+        (tmp_path / "lf.py").write_bytes(VALVE.replace("\n", "\r\n").encode())
+        crlf, _ = parse_project(tmp_path)
+        assert crlf == lf
+
     def test_not_a_directory(self, tmp_path):
         target = tmp_path / "file.py"
         target.write_text(VALVE, encoding="utf-8")

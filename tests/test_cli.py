@@ -263,6 +263,46 @@ class TestIncrementalCheck:
         assert "(100% reuse)" in capsys.readouterr().out
 
 
+class TestUndecodableSource:
+    """A file that is not UTF-8 is a parse failure, never a traceback."""
+
+    @pytest.fixture
+    def project(self, tmp_path):
+        root = tmp_path / "d"
+        root.mkdir()
+        (root / "a.py").write_bytes(b'x = "\xff"\n')
+        (root / "good.py").write_text(GOOD_MODULE, encoding="utf-8")
+        return root
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_directory_reports_a_syntax_error(
+        self, project, tmp_path, capsys, incremental
+    ):
+        args = ["check", str(project)]
+        if incremental:
+            args += ["--incremental", "--cache-dir", str(tmp_path / "cache")]
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "syntax-error" in out and "not valid UTF-8" in out
+        if incremental:
+            assert main(args) == 1  # warm: the finding comes from the state
+            assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_single_file_is_a_clean_error(
+        self, project, tmp_path, incremental
+    ):
+        args = ["check", str(project / "a.py")]
+        if incremental:
+            args += ["--incremental", "--cache-dir", str(tmp_path / "cache")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert str(exit_info.value).startswith(
+            f"error: cannot parse {project / 'a.py'}: [syntax-error]"
+        )
+        assert not (tmp_path / "cache" / "state.json").exists()
+
+
 class TestStateCommand:
     def test_show_and_reset(self, good, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
