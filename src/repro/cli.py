@@ -162,6 +162,68 @@ def _build_cache(args: argparse.Namespace):
     return InferenceCache(args.cache_dir) if args.cache else None
 
 
+def _add_obs_flags(parser: argparse.ArgumentParser, spans: str, metrics: str) -> None:
+    """The observability flags of a traced command: ``spans`` names its
+    span levels, ``metrics`` what its metrics files hold."""
+    parser.add_argument(
+        "--trace",
+        action="store_true",
+        help=f"print the span tree ({spans}) after the report",
+    )
+    parser.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="FILE",
+        help="write the trace as a JSONL event log",
+    )
+    parser.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="FILE",
+        help=f"write machine-readable {metrics} as JSON",
+    )
+    parser.add_argument(
+        "--prom-out",
+        default=None,
+        metavar="FILE",
+        help=f"write the {metrics} in Prometheus text format",
+    )
+
+
+def _obs_tracer(args: argparse.Namespace):
+    """A live tracer iff any observability output was asked for."""
+    if args.trace or args.trace_out or args.metrics_out or args.prom_out:
+        from repro.obs import Tracer
+
+        return Tracer()
+    return None
+
+
+def _write_obs_outputs(args: argparse.Namespace, tracer, summary: dict) -> None:
+    """Print the ``--trace`` tree and write the ``--trace-out``,
+    ``--metrics-out`` and ``--prom-out`` files of one traced run, whose
+    own metrics are ``summary``."""
+    from repro.obs import (
+        metrics_payload,
+        render_trace,
+        write_metrics_json,
+        write_prometheus,
+        write_trace_jsonl,
+    )
+
+    if args.trace:
+        print()
+        print(render_trace(tracer))
+    if args.trace_out:
+        write_trace_jsonl(tracer, args.trace_out)
+    if args.metrics_out or args.prom_out:
+        payload = metrics_payload(summary, tracer)
+        if args.metrics_out:
+            write_metrics_json(payload, args.metrics_out)
+        if args.prom_out:
+            write_prometheus(payload, args.prom_out)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     import os
 
@@ -196,15 +258,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         faults,
     )
 
-    from repro.obs import (
-        Tracer,
-        metrics_payload,
-        render_trace,
-        write_metrics_json,
-        write_prometheus,
-        write_trace_jsonl,
-    )
-
     # Validate REPRO_FAULTS *now*: a typo'd site or action should be a
     # one-line usage error at startup, not a baffling quarantine deep
     # inside a worker once the lazy parse finally happens.
@@ -213,10 +266,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except FaultSpecError as error:
         raise SystemExit(f"error: invalid {faults.FAULTS_ENV}: {error}")
 
-    tracing = bool(
-        args.trace or args.trace_out or args.metrics_out or args.prom_out
-    )
-    tracer = Tracer() if tracing else None
+    tracer = _obs_tracer(args)
     previous_env = os.environ.get(faults.FAULTS_ENV)
     if args.faults:
         try:
@@ -338,17 +388,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print()
             print(batch.metrics.format())
         if tracer is not None:
-            if args.trace:
-                print()
-                print(render_trace(tracer))
-            if args.trace_out:
-                write_trace_jsonl(tracer, args.trace_out)
-            if args.metrics_out or args.prom_out:
-                payload = metrics_payload(batch.metrics.to_dict(), tracer)
-                if args.metrics_out:
-                    write_metrics_json(payload, args.metrics_out)
-                if args.prom_out:
-                    write_prometheus(payload, args.prom_out)
+            _write_obs_outputs(args, tracer, batch.metrics.to_dict())
         return 0 if result.ok else 1
     except KeyboardInterrupt:
         # Ctrl-C / SIGTERM mid-run.  Every persistent structure this
@@ -667,20 +707,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     _install_interrupt_handler()
 
     from repro.mine import CollectConfig, MineError, mine_path
-    from repro.obs import (
-        Tracer,
-        metrics_payload,
-        render_trace,
-        write_metrics_json,
-        write_prometheus,
-        write_trace_jsonl,
-    )
     from repro.obs.tracer import NULL_TRACER
 
-    tracing = bool(
-        args.trace or args.trace_out or args.metrics_out or args.prom_out
-    )
-    tracer = Tracer() if tracing else None
+    tracer = _obs_tracer(args)
     try:
         config = CollectConfig(
             seed=args.seed,
@@ -718,17 +747,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
     if tracer is not None:
-        if args.trace:
-            print()
-            print(render_trace(tracer))
-        if args.trace_out:
-            write_trace_jsonl(tracer, args.trace_out)
-        if args.metrics_out or args.prom_out:
-            payload = metrics_payload(report.metrics(), tracer)
-            if args.metrics_out:
-                write_metrics_json(payload, args.metrics_out)
-            if args.prom_out:
-                write_prometheus(payload, args.prom_out)
+        _write_obs_outputs(args, tracer, report.metrics())
     return 0 if report.ok else 1
 
 
@@ -927,30 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection spec (testing; same grammar as the "
         "REPRO_FAULTS environment variable)",
     )
-    check.add_argument(
-        "--trace",
-        action="store_true",
-        help="print the span tree (run → wave → class → phase) "
-        "after the report",
-    )
-    check.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write the trace as a JSONL event log",
-    )
-    check.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="write machine-readable run metrics "
-        "(a superset of --stats) as JSON",
-    )
-    check.add_argument(
-        "--prom-out",
-        default=None,
-        metavar="FILE",
-        help="write the run metrics in Prometheus text format",
+    _add_obs_flags(
+        check, "run → wave → class → phase", "run metrics (a superset of --stats)"
     )
     check.add_argument(
         "--shards",
@@ -1398,29 +1395,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="save the collected trace corpora (per class, with "
         "per-prefix monitor evidence) as replayable JSON",
     )
-    mine.add_argument(
-        "--trace",
-        action="store_true",
-        help="print the span tree (run → class → phase) after the report",
-    )
-    mine.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write the trace as a JSONL event log",
-    )
-    mine.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="write machine-readable mining metrics as JSON",
-    )
-    mine.add_argument(
-        "--prom-out",
-        default=None,
-        metavar="FILE",
-        help="write the mining metrics in Prometheus text format",
-    )
+    _add_obs_flags(mine, "run → class → phase", "mining metrics")
     mine.set_defaults(func=_cmd_mine)
 
     report = subparsers.add_parser(
@@ -1463,14 +1438,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import signal
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command may turn SIGTERM into KeyboardInterrupt
+    # (_install_interrupt_handler).  An in-process caller gets its own
+    # handler back when the command returns, so neither it nor a process
+    # it forks later keeps ours.
+    previous = signal.getsignal(signal.SIGTERM)
     try:
         return args.func(args)
     except SystemExit:
         raise
     except BrokenPipeError:  # pragma: no cover - terminal plumbing
         return 0
+    finally:
+        if previous is not None and signal.getsignal(signal.SIGTERM) is not previous:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -65,9 +65,16 @@ from repro.core.limits import BudgetExceeded, Limits
 from repro.core.model_io import dfa_to_dict
 from repro.core.spec import ClassSpec
 from repro.engine import faults
-from repro.engine.cache import InferenceCache
+from repro.engine.cache import CacheStats, InferenceCache
 from repro.engine.fingerprint import class_key, method_key
-from repro.engine.metrics import ClassTiming, EngineMetrics
+from repro.engine.metrics import (
+    REMOTE_KINDS,
+    STATE_KINDS,
+    STORE_KINDS,
+    SUPERVISOR_KINDS,
+    ClassTiming,
+    EngineMetrics,
+)
 from repro.engine.scheduler import prune_waves, schedule
 from repro.automata.kernel import BitDFA
 from repro.engine.serialize import (
@@ -216,6 +223,21 @@ def _check_class_task(
     return outcome
 
 
+def _default_sigterm() -> None:
+    """Process-pool initializer: SIGTERM kills a worker again.
+
+    A worker forked from ``repro check`` inherits the CLI's SIGTERM →
+    KeyboardInterrupt handler.  When a worker dies and the pool breaks,
+    the executor terminates the rest with SIGTERM; under that handler a
+    busy worker only sees its task interrupted, reports it and lives on,
+    and the pool's shutdown then waits for it forever (the interpreter
+    hangs at exit).
+    """
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 # ----------------------------------------------------------------------
 # Verification plans (the planner half of the planner/executor split)
 # ----------------------------------------------------------------------
@@ -347,6 +369,19 @@ class _Attempt:
     dispatched: float = 0.0
 
 
+#: The EngineMetrics fields a run copies from its cache's CacheStats when
+#: it ends: the corrupt-entry count, the store kinds the cache tracks, the
+#: lock wait time and the remote tier.
+_FROM_CACHE_STATS = (
+    "corrupt_entries",
+    "lock_wait_seconds",
+    *(field for kind, field in STORE_KINDS.items() if kind not in STATE_KINDS),
+    *REMOTE_KINDS.values(),
+)
+#: Where CacheStats names one of those differently.
+_STATS_ATTRS = {"write_failures": "write_failure_count"}
+
+
 @dataclass
 class _WaveCounters:
     """Mutable supervisor counters, accumulated across waves."""
@@ -434,7 +469,9 @@ class BatchVerifier:
             # and serial runs never need.
             from concurrent.futures import ProcessPoolExecutor
 
-            return ProcessPoolExecutor(max_workers=workers)
+            return ProcessPoolExecutor(
+                max_workers=workers, initializer=_default_sigterm
+            )
         return ThreadPoolExecutor(max_workers=workers)
 
     def _scope_for(self, parsed: ParsedClass) -> dict[str, ParsedClass]:
@@ -760,6 +797,8 @@ class BatchVerifier:
             for parsed in self.module.classes
             if parsed.name in outcomes
         )
+        # An uncached run reads the all-zero stats of a fresh cache.
+        stats = self.cache.stats if self.cache else CacheStats()
         metrics = EngineMetrics(
             classes=scheduled,
             waves=sum(1 for wave in waves if wave),
@@ -772,35 +811,11 @@ class BatchVerifier:
             method_misses=method_misses,
             cache_writes=cache_writes,
             timings=tuple(sorted(timings, key=lambda t: (t.wave, t.class_name))),
-            corrupt_entries=(
-                self.cache.stats.corrupt_entries if self.cache else 0
-            ),
-            checksum_failures=(
-                self.cache.stats.checksum_failures if self.cache else 0
-            ),
-            write_failures=(
-                self.cache.stats.write_failure_count if self.cache else 0
-            ),
-            lock_waits=self.cache.stats.lock_waits if self.cache else 0,
-            lock_wait_seconds=(
-                self.cache.stats.lock_wait_seconds if self.cache else 0.0
-            ),
-            lock_timeouts=self.cache.stats.lock_timeouts if self.cache else 0,
-            orphans_removed=(
-                self.cache.stats.orphans_removed if self.cache else 0
-            ),
-            remote_hits=self.cache.stats.remote_hits if self.cache else 0,
-            remote_misses=self.cache.stats.remote_misses if self.cache else 0,
-            remote_puts=self.cache.stats.remote_puts if self.cache else 0,
-            remote_errors=self.cache.stats.remote_errors if self.cache else 0,
-            remote_degraded=(
-                self.cache.stats.remote_degraded if self.cache else 0
-            ),
-            retries=counters.retries,
-            quarantines=counters.quarantines,
-            budget_trips=counters.budget_trips,
-            timeouts=counters.timeouts,
-            pool_restarts=counters.pool_restarts,
+            **{kind: getattr(counters, kind) for kind in SUPERVISOR_KINDS},
+            **{
+                field: getattr(stats, _STATS_ATTRS.get(field, field))
+                for field in _FROM_CACHE_STATS
+            },
         )
         return BatchResult(
             module=self.module,

@@ -12,6 +12,34 @@ from dataclasses import dataclass
 from typing import Any
 
 
+def _same(*kinds: str, prefix: str = "") -> dict[str, str]:
+    return {kind: prefix + kind for kind in kinds}
+
+
+# The run's counter groups, each declared once: kind -> the
+# :class:`EngineMetrics` field holding it.  The kind is the key under the
+# group's ``to_dict`` section and the ``kind`` label of its Prometheus
+# family; the shard wire format and the copy from the cache's stats read
+# the same tables.
+CACHE_KINDS = {
+    **_same("class_hits", "class_misses", "method_hits", "method_misses"),
+    "writes": "cache_writes",
+    "corrupt_entries": "corrupt_entries",
+}
+SUPERVISOR_KINDS = _same(
+    "retries", "quarantines", "budget_trips", "timeouts", "pool_restarts"
+)
+STORE_KINDS = _same(
+    "checksum_failures", "write_failures", "lock_waits", "lock_timeouts",
+    "orphans_removed", "state_save_failures", "state_merged_entries",
+)
+REMOTE_KINDS = _same("hits", "misses", "puts", "errors", "degraded", prefix="remote_")
+
+#: The store kinds only an incremental run's state save fills; the
+#: cache's own stats carry the rest.
+STATE_KINDS = tuple(kind for kind in STORE_KINDS if kind.startswith("state_"))
+
+
 @dataclass(frozen=True)
 class ClassTiming:
     """Wall time of one class's check and where the verdict came from.
@@ -96,6 +124,9 @@ class EngineMetrics:
         """Did every class verdict come out of the cache (a warm run)?"""
         return self.classes > 0 and self.class_misses == 0
 
+    def _counts(self, group: dict[str, str]) -> dict[str, int]:
+        return {kind: getattr(self, field) for kind, field in group.items()}
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "classes": self.classes,
@@ -103,21 +134,8 @@ class EngineMetrics:
             "jobs": self.jobs,
             "executor": self.executor,
             "wall_seconds": self.wall_seconds,
-            "cache": {
-                "class_hits": self.class_hits,
-                "class_misses": self.class_misses,
-                "method_hits": self.method_hits,
-                "method_misses": self.method_misses,
-                "writes": self.cache_writes,
-                "corrupt_entries": self.corrupt_entries,
-            },
-            "supervisor": {
-                "retries": self.retries,
-                "quarantines": self.quarantines,
-                "budget_trips": self.budget_trips,
-                "timeouts": self.timeouts,
-                "pool_restarts": self.pool_restarts,
-            },
+            "cache": self._counts(CACHE_KINDS),
+            "supervisor": self._counts(SUPERVISOR_KINDS),
             "incremental": {
                 "enabled": self.incremental,
                 "reused": self.reused_verdicts,
@@ -125,23 +143,11 @@ class EngineMetrics:
                 "reuse_ratio": self.reuse_ratio,
             },
             "store": {
-                "checksum_failures": self.checksum_failures,
-                "write_failures": self.write_failures,
-                "lock_waits": self.lock_waits,
+                **self._counts(STORE_KINDS),
                 "lock_wait_seconds": self.lock_wait_seconds,
-                "lock_timeouts": self.lock_timeouts,
-                "orphans_removed": self.orphans_removed,
-                "state_save_failures": self.state_save_failures,
-                "state_merged_entries": self.state_merged_entries,
                 "state_generation": self.state_generation,
             },
-            "remote": {
-                "hits": self.remote_hits,
-                "misses": self.remote_misses,
-                "puts": self.remote_puts,
-                "errors": self.remote_errors,
-                "degraded": self.remote_degraded,
-            },
+            "remote": self._counts(REMOTE_KINDS),
             # Sorted here as well as at construction: the export is the
             # byte-stability contract (same project + cache temperature
             # => identical file regardless of jobs/completion order), so
@@ -190,14 +196,9 @@ class EngineMetrics:
                     else ""
                 )
             )
-        if (
-            self.write_failures
-            or self.lock_waits
-            or self.lock_timeouts
-            or self.orphans_removed
-            or self.state_save_failures
-            or self.state_merged_entries
-        ):
+        # Checksum failures show on the healed line above.
+        store = self._counts(STORE_KINDS)
+        if any(count for kind, count in store.items() if kind != "checksum_failures"):
             lines.append(
                 f"  store                 {self.write_failures} failed "
                 f"write(s), {self.lock_waits} lock wait(s) "
@@ -208,13 +209,7 @@ class EngineMetrics:
                 f"{self.state_merged_entries} merged state entr"
                 f"{'y' if self.state_merged_entries == 1 else 'ies'}"
             )
-        if (
-            self.remote_hits
-            or self.remote_misses
-            or self.remote_puts
-            or self.remote_errors
-            or self.remote_degraded
-        ):
+        if any(self._counts(REMOTE_KINDS).values()):
             lines.append(
                 f"  remote cache          {self.remote_hits} hit(s), "
                 f"{self.remote_misses} miss(es), "
@@ -222,13 +217,7 @@ class EngineMetrics:
                 f"{self.remote_errors} error(s)"
                 + (" — degraded to local-only" if self.remote_degraded else "")
             )
-        if (
-            self.retries
-            or self.quarantines
-            or self.budget_trips
-            or self.timeouts
-            or self.pool_restarts
-        ):
+        if any(self._counts(SUPERVISOR_KINDS).values()):
             lines.append(
                 f"  supervisor            {self.retries} retr{'y' if self.retries == 1 else 'ies'}, "
                 f"{self.quarantines} quarantine(s), "

@@ -41,7 +41,15 @@ from repro.engine.engine import (
     EngineError,
     VerificationPlan,
 )
-from repro.engine.metrics import ClassTiming, EngineMetrics
+from repro.engine.metrics import (
+    CACHE_KINDS,
+    REMOTE_KINDS,
+    STATE_KINDS,
+    STORE_KINDS,
+    SUPERVISOR_KINDS,
+    ClassTiming,
+    EngineMetrics,
+)
 from repro.engine.serialize import diagnostics_from_list, diagnostics_to_list
 from repro.frontend.model_ast import ParsedModule, SubsetViolation
 
@@ -145,13 +153,13 @@ def run_shard(
 # Shard-result serialization (what --shard-out writes)
 # ----------------------------------------------------------------------
 
-_METRIC_SUMS = (
-    "class_hits", "class_misses", "method_hits", "method_misses",
-    "cache_writes", "corrupt_entries", "retries", "quarantines",
-    "budget_trips", "timeouts", "pool_restarts", "checksum_failures",
-    "write_failures", "lock_waits", "lock_timeouts", "orphans_removed",
-    "remote_hits", "remote_misses", "remote_puts", "remote_errors",
-    "remote_degraded",
+#: The integer counters a shard reports and a merge sums: every counter
+#: group but the state-save kinds, which only an incremental run fills.
+_METRIC_SUMS = tuple(
+    field
+    for group in (CACHE_KINDS, SUPERVISOR_KINDS, STORE_KINDS, REMOTE_KINDS)
+    for kind, field in group.items()
+    if kind not in STATE_KINDS
 )
 
 

@@ -11,15 +11,24 @@ tree so they can never disagree:
   superset of ``EngineMetrics.to_dict()`` with an ``obs`` section
   (per-phase totals, event counts, counters, schema version);
 * :func:`prometheus_text` — a Prometheus text-format exposition of the
-  same numbers, for scraping.
+  same numbers, for scraping: the :data:`FAMILIES` declarations rendered
+  by :func:`render_prometheus`, the one renderer the daemon's
+  ``/metrics`` shares.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Mapping
 
+from repro.engine.metrics import (
+    CACHE_KINDS,
+    REMOTE_KINDS,
+    STORE_KINDS,
+    SUPERVISOR_KINDS,
+)
 from repro.obs.tracer import TRACE_SCHEMA, Tracer
 
 
@@ -100,201 +109,167 @@ def write_metrics_json(payload: dict[str, Any], path: str | Path) -> None:
 # Prometheus text exposition
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Family:
+    """One Prometheus metric family, declared once.
+
+    ``section`` is the payload path the family reads (default: its own
+    name); the family appears iff that path is present.  Without a
+    ``label`` the section's value is the one sample.  With one, ``keys``
+    maps each label value to its key in the section (a missing key reads
+    0); ``keys=None`` takes every key of the section in sorted order, and
+    ``field`` picks the value out of each entry.  A ``nonzero`` family
+    also needs one nonzero sample to appear.
+    """
+
+    name: str
+    type: str
+    help: str
+    section: tuple[str, ...] | None = None
+    label: str = ""
+    keys: Mapping[str, str] | None = None
+    field: str = ""
+    nonzero: bool = False
+
+    def samples(self, payload: Mapping[str, Any]) -> list[tuple[str, Any]]:
+        section: Any = payload
+        for key in self.section if self.section is not None else (self.name,):
+            if not isinstance(section, Mapping) or key not in section:
+                return []
+            section = section[key]
+        if not self.label:
+            return [("", section)]
+        keys = self.keys if self.keys is not None else _kinds(sorted(section))
+        samples = [
+            (f'{{{self.label}="{_escape_label(value)}"}}', section.get(key, 0))
+            for value, key in keys.items()
+        ]
+        if self.field:
+            samples = [(labels, entry[self.field]) for labels, entry in samples]
+        if self.nonzero and not any(value for _labels, value in samples):
+            return []
+        return samples
+
+
+def _kinds(kinds: Iterable[str]) -> dict[str, str]:
+    """Label values that are their own section keys."""
+    return {kind: kind for kind in kinds}
+
+
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def prometheus_text(payload: dict[str, Any], prefix: str = "repro") -> str:
-    """Render a metrics payload as Prometheus text format (version 0.0.4).
+def render_prometheus(
+    families: Iterable[Family], payload: Mapping[str, Any], prefix: str
+) -> str:
+    """Render ``payload`` as Prometheus text format (version 0.0.4).
 
-    Gauges for the run shape, counters for cache/supervisor totals, and
-    a ``<prefix>_phase_seconds_total{phase="..."}`` family from the obs
-    section.  The output ends with a newline, as scrapers require.
+    Families without samples are left out; the output ends with a
+    newline, as scrapers require.
     """
     lines: list[str] = []
-
-    def emit(name: str, kind: str, help_text: str, samples: list[tuple[str, Any]]) -> None:
-        lines.append(f"# HELP {prefix}_{name} {help_text}")
-        lines.append(f"# TYPE {prefix}_{name} {kind}")
-        for labels, value in samples:
-            lines.append(f"{prefix}_{name}{labels} {value}")
-
-    emit("classes", "gauge", "Classes in the verified module.",
-         [("", payload.get("classes", 0))])
-    emit("waves", "gauge", "Topological waves in the schedule.",
-         [("", payload.get("waves", 0))])
-    emit("jobs", "gauge", "Configured worker count.",
-         [("", payload.get("jobs", 0))])
-    emit("wall_seconds", "gauge", "Wall time of the run in seconds.",
-         [("", payload.get("wall_seconds", 0.0))])
-
-    cache = payload.get("cache", {})
-    emit(
-        "cache_events_total",
-        "counter",
-        "Cache events by kind.",
-        [
-            (f'{{kind="{_escape_label(kind)}"}}', cache.get(kind, 0))
-            for kind in (
-                "class_hits",
-                "class_misses",
-                "method_hits",
-                "method_misses",
-                "writes",
-                "corrupt_entries",
-            )
-        ],
-    )
-    incremental = payload.get("incremental")
-    if incremental:
-        emit(
-            "incremental_classes_total",
-            "counter",
-            "Incremental run outcome per class, by kind.",
-            [
-                (
-                    f'{{kind="{_escape_label(kind)}"}}',
-                    incremental.get(source, 0),
-                )
-                for kind, source in (("reused", "reused"), ("dirty", "dirty"))
-            ],
-        )
-        emit(
-            "incremental_reuse_ratio",
-            "gauge",
-            "Fraction of class verdicts spliced from the project state.",
-            [("", incremental.get("reuse_ratio", 0.0))],
-        )
-    persistence = payload.get("store")
-    if persistence:
-        emit(
-            "store_events_total",
-            "counter",
-            "Crash-safe store events by kind.",
-            [
-                (f'{{kind="{_escape_label(kind)}"}}', persistence.get(kind, 0))
-                for kind in (
-                    "checksum_failures",
-                    "write_failures",
-                    "lock_waits",
-                    "lock_timeouts",
-                    "orphans_removed",
-                    "state_save_failures",
-                    "state_merged_entries",
-                )
-            ],
-        )
-        emit(
-            "store_lock_wait_seconds_total",
-            "counter",
-            "Total time spent waiting on store write locks.",
-            [("", persistence.get("lock_wait_seconds", 0.0))],
-        )
-        emit(
-            "store_state_generation",
-            "gauge",
-            "Generation counter of the persisted project state.",
-            [("", persistence.get("state_generation", 0))],
-        )
-    remote = payload.get("remote")
-    if remote and any(remote.get(kind, 0) for kind in remote):
-        emit(
-            "cache_remote_events_total",
-            "counter",
-            "Remote cache tier events by kind.",
-            [
-                (f'{{kind="{_escape_label(kind)}"}}', remote.get(kind, 0))
-                for kind in ("hits", "misses", "puts", "errors", "degraded")
-            ],
-        )
-    mine = payload.get("mine")
-    if mine:
-        emit(
-            "mine_classes",
-            "gauge",
-            "Classes mined from monitored runs.",
-            [("", mine.get("classes", 0))],
-        )
-        emit(
-            "mine_corpus_total",
-            "counter",
-            "Corpus volume of the mining run, by kind.",
-            [
-                (f'{{kind="{_escape_label(kind)}"}}', mine.get(kind, 0))
-                for kind in ("corpus_samples", "corpus_events")
-            ],
-        )
-        emit(
-            "mine_states",
-            "gauge",
-            "Automaton sizes across the mining run, by stage.",
-            [
-                (f'{{stage="{_escape_label(stage)}"}}', mine.get(key, 0))
-                for stage, key in (
-                    ("pta", "pta_states"),
-                    ("mined", "mined_states"),
-                )
-            ],
-        )
-        emit(
-            "mine_merges_total",
-            "counter",
-            "Evidence-gated state merges the learner accepted.",
-            [("", mine.get("merges_accepted", 0))],
-        )
-        emit(
-            "mine_findings_total",
-            "counter",
-            "Mining findings by kind (divergent includes unsound).",
-            [
-                (f'{{kind="{_escape_label(kind)}"}}', mine.get(kind, 0))
-                for kind in ("divergent", "unsound", "notes")
-            ],
-        )
-        emit(
-            "mine_wall_seconds",
-            "gauge",
-            "Wall time of the collect/learn/diff phases in seconds.",
-            [("", mine.get("wall_seconds", 0.0))],
-        )
-    supervisor = payload.get("supervisor", {})
-    emit(
-        "supervisor_events_total",
-        "counter",
-        "Supervisor recovery events by kind.",
-        [
-            (f'{{kind="{_escape_label(kind)}"}}', supervisor.get(kind, 0))
-            for kind in (
-                "retries",
-                "quarantines",
-                "budget_trips",
-                "timeouts",
-                "pool_restarts",
-            )
-        ],
-    )
-
-    phases = payload.get("obs", {}).get("phases", {})
-    if phases:
-        emit(
-            "phase_seconds_total",
-            "counter",
-            "Wall time per pipeline phase in seconds.",
-            [
-                (f'{{phase="{_escape_label(name)}"}}', entry["seconds"])
-                for name, entry in sorted(phases.items())
-            ],
-        )
-        emit(
-            "phase_calls_total",
-            "counter",
-            "Phase executions (including cached/skipped records).",
-            [
-                (f'{{phase="{_escape_label(name)}"}}', entry["calls"])
-                for name, entry in sorted(phases.items())
-            ],
-        )
+    for family in families:
+        samples = family.samples(payload)
+        if not samples:
+            continue
+        name = f"{prefix}_{family.name}"
+        lines.append(f"# HELP {name} {family.help}")
+        lines.append(f"# TYPE {name} {family.type}")
+        lines.extend(f"{name}{labels} {value}" for labels, value in samples)
     return "\n".join(lines) + "\n"
+
+
+#: The families of a run's metrics payload, in exposition order: the run
+#: shape and counter groups of ``EngineMetrics.to_dict()``, the ``mine``
+#: section of a mining run, and the per-phase totals of the obs section.
+FAMILIES = (
+    Family("classes", "gauge", "Classes in the verified module."),
+    Family("waves", "gauge", "Topological waves in the schedule."),
+    Family("jobs", "gauge", "Configured worker count."),
+    Family("wall_seconds", "gauge", "Wall time of the run in seconds."),
+    Family(
+        "cache_events_total", "counter", "Cache events by kind.",
+        section=("cache",), label="kind", keys=_kinds(CACHE_KINDS),
+    ),
+    Family(
+        "incremental_classes_total", "counter",
+        "Incremental run outcome per class, by kind.",
+        section=("incremental",), label="kind", keys=_kinds(("reused", "dirty")),
+    ),
+    Family(
+        "incremental_reuse_ratio", "gauge",
+        "Fraction of class verdicts spliced from the project state.",
+        section=("incremental", "reuse_ratio"),
+    ),
+    Family(
+        "store_events_total", "counter", "Crash-safe store events by kind.",
+        section=("store",), label="kind", keys=_kinds(STORE_KINDS),
+    ),
+    Family(
+        "store_lock_wait_seconds_total", "counter",
+        "Total time spent waiting on store write locks.",
+        section=("store", "lock_wait_seconds"),
+    ),
+    Family(
+        "store_state_generation", "gauge",
+        "Generation counter of the persisted project state.",
+        section=("store", "state_generation"),
+    ),
+    Family(
+        "cache_remote_events_total", "counter", "Remote cache tier events by kind.",
+        section=("remote",), label="kind", keys=_kinds(REMOTE_KINDS), nonzero=True,
+    ),
+    Family(
+        "mine_classes", "gauge", "Classes mined from monitored runs.",
+        section=("mine", "classes"),
+    ),
+    Family(
+        "mine_corpus_total", "counter", "Corpus volume of the mining run, by kind.",
+        section=("mine",), label="kind",
+        keys=_kinds(("corpus_samples", "corpus_events")),
+    ),
+    Family(
+        "mine_states", "gauge", "Automaton sizes across the mining run, by stage.",
+        section=("mine",), label="stage",
+        keys={"pta": "pta_states", "mined": "mined_states"},
+    ),
+    Family(
+        "mine_merges_total", "counter",
+        "Evidence-gated state merges the learner accepted.",
+        section=("mine", "merges_accepted"),
+    ),
+    Family(
+        "mine_findings_total", "counter",
+        "Mining findings by kind (divergent includes unsound).",
+        section=("mine",), label="kind",
+        keys=_kinds(("divergent", "unsound", "notes")),
+    ),
+    Family(
+        "mine_wall_seconds", "gauge",
+        "Wall time of the collect/learn/diff phases in seconds.",
+        section=("mine", "wall_seconds"),
+    ),
+    Family(
+        "supervisor_events_total", "counter", "Supervisor recovery events by kind.",
+        section=("supervisor",), label="kind", keys=_kinds(SUPERVISOR_KINDS),
+    ),
+    Family(
+        "phase_seconds_total", "counter", "Wall time per pipeline phase in seconds.",
+        section=("obs", "phases"), label="phase", field="seconds",
+    ),
+    Family(
+        "phase_calls_total", "counter",
+        "Phase executions (including cached/skipped records).",
+        section=("obs", "phases"), label="phase", field="calls",
+    ),
+)
+
+
+def prometheus_text(payload: dict[str, Any], prefix: str = "repro") -> str:
+    """Render a metrics payload (:func:`metrics_payload`) as Prometheus
+    text: the :data:`FAMILIES` whose payload section is present."""
+    return render_prometheus(FAMILIES, payload, prefix)
 
 
 def write_prometheus(payload: dict[str, Any], path: str | Path) -> None:

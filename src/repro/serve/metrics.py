@@ -1,8 +1,9 @@
 """Service-level metrics of the verification daemon.
 
 Mirrors the counter/gauge discipline of :mod:`repro.obs.sinks`: one
-plain in-memory accumulator, one pure renderer to the Prometheus text
-format under the ``repro_serve_*`` prefix.  The daemon exposes the text
+plain in-memory accumulator, rendered to the Prometheus text format
+under the ``repro_serve_*`` prefix by the one renderer there, from the
+family declarations below.  The daemon exposes the text
 form at ``GET /metrics`` and the raw dict in ``/readyz`` payloads and
 the smoke-test artifact.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.sinks import _escape_label
+from repro.obs.sinks import Family, render_prometheus
 
 
 @dataclass
@@ -78,127 +79,67 @@ class ServeMetrics:
 
 _BREAKER_STATES = ("closed", "open", "half-open")
 
+#: The daemon's families, read from :meth:`ServeMetrics.to_dict` as
+#: :func:`serve_prometheus_text` prepares it.
+SERVE_FAMILIES = (
+    Family(
+        "jobs_total", "counter", "Job lifecycle transitions by state.",
+        section=(), label="state",
+        keys={state: f"jobs_{state}_total" for state in ("queued", "started", "done", "failed")},
+    ),
+    Family("submissions_total", "counter", "Submission attempts, accepted or shed."),
+    Family(
+        "rejections_total", "counter", "Explicitly shed submissions by reason.",
+        label="reason",
+    ),
+    Family("retries_total", "counter", "Jobs re-enqueued after a worker crash."),
+    Family(
+        "recovered_jobs_total", "counter",
+        "Jobs re-enqueued from the journal after a restart.",
+    ),
+    Family("breaker_trips_total", "counter", "Circuit-breaker open transitions."),
+    Family(
+        "classes_checked_total", "counter",
+        "Classes verified across all completed jobs.",
+    ),
+    Family(
+        "job_seconds_total", "counter",
+        "Execution wall time across all completed jobs.",
+    ),
+    Family(
+        "tenant_completed_total", "counter",
+        "Completed (done or failed) jobs per tenant.",
+        label="tenant",
+    ),
+    Family(
+        "journal_events_total", "counter", "Journal degradation events by kind.",
+        section=(), label="kind",
+        keys={kind: f"journal_{kind}" for kind in ("write_failures", "corrupt_entries")},
+    ),
+    Family("queue_depth", "gauge", "Jobs currently queued for dispatch."),
+    Family("inflight", "gauge", "Jobs currently executing."),
+    Family("draining", "gauge", "1 while the daemon is draining for shutdown."),
+    Family(
+        "breaker_state", "gauge",
+        "Circuit-breaker state (1 on the active state's label).",
+        label="state", keys={state: state for state in _BREAKER_STATES},
+    ),
+    Family("uptime_seconds", "gauge", "Seconds since the daemon started."),
+)
+
 
 def serve_prometheus_text(metrics: ServeMetrics, prefix: str = "repro_serve") -> str:
     """Render the daemon metrics in Prometheus text format (0.0.4)."""
-    lines: list[str] = []
-
-    def emit(name: str, kind: str, help_text: str, samples: list[tuple[str, Any]]) -> None:
-        lines.append(f"# HELP {prefix}_{name} {help_text}")
-        lines.append(f"# TYPE {prefix}_{name} {kind}")
-        for labels, value in samples:
-            lines.append(f"{prefix}_{name}{labels} {value}")
-
-    emit(
-        "jobs_total",
-        "counter",
-        "Job lifecycle transitions by state.",
-        [
-            (f'{{state="{state}"}}', value)
-            for state, value in (
-                ("queued", metrics.jobs_queued_total),
-                ("started", metrics.jobs_started_total),
-                ("done", metrics.jobs_done_total),
-                ("failed", metrics.jobs_failed_total),
-            )
-        ],
+    payload = metrics.to_dict()
+    # Prometheus samples are numbers: the draining flag becomes 0/1 and
+    # the breaker state one 0/1 sample per state.  A labelled family with
+    # nothing counted yet still shows one "none" row.
+    payload.update(
+        draining=int(metrics.draining),
+        breaker_state={
+            state: int(metrics.breaker_state == state) for state in _BREAKER_STATES
+        },
+        rejections_total=payload["rejections_total"] or {"none": 0},
+        tenant_completed_total=payload["tenant_completed_total"] or {"none": 0},
     )
-    emit(
-        "submissions_total",
-        "counter",
-        "Submission attempts, accepted or shed.",
-        [("", metrics.submissions_total)],
-    )
-    emit(
-        "rejections_total",
-        "counter",
-        "Explicitly shed submissions by reason.",
-        [
-            (f'{{reason="{_escape_label(reason)}"}}', value)
-            for reason, value in sorted(metrics.rejections.items())
-        ]
-        or [('{reason="none"}', 0)],
-    )
-    emit(
-        "retries_total",
-        "counter",
-        "Jobs re-enqueued after a worker crash.",
-        [("", metrics.retries_total)],
-    )
-    emit(
-        "recovered_jobs_total",
-        "counter",
-        "Jobs re-enqueued from the journal after a restart.",
-        [("", metrics.recovered_jobs_total)],
-    )
-    emit(
-        "breaker_trips_total",
-        "counter",
-        "Circuit-breaker open transitions.",
-        [("", metrics.breaker_trips_total)],
-    )
-    emit(
-        "classes_checked_total",
-        "counter",
-        "Classes verified across all completed jobs.",
-        [("", metrics.classes_checked_total)],
-    )
-    emit(
-        "job_seconds_total",
-        "counter",
-        "Execution wall time across all completed jobs.",
-        [("", round(metrics.job_seconds_total, 6))],
-    )
-    emit(
-        "tenant_completed_total",
-        "counter",
-        "Completed (done or failed) jobs per tenant.",
-        [
-            (f'{{tenant="{_escape_label(tenant)}"}}', value)
-            for tenant, value in sorted(metrics.tenant_completed.items())
-        ]
-        or [('{tenant="none"}', 0)],
-    )
-    emit(
-        "journal_events_total",
-        "counter",
-        "Journal degradation events by kind.",
-        [
-            ('{kind="write_failures"}', metrics.journal_write_failures),
-            ('{kind="corrupt_entries"}', metrics.journal_corrupt_entries),
-        ],
-    )
-    emit(
-        "queue_depth",
-        "gauge",
-        "Jobs currently queued for dispatch.",
-        [("", metrics.queue_depth)],
-    )
-    emit(
-        "inflight",
-        "gauge",
-        "Jobs currently executing.",
-        [("", metrics.inflight)],
-    )
-    emit(
-        "draining",
-        "gauge",
-        "1 while the daemon is draining for shutdown.",
-        [("", int(metrics.draining))],
-    )
-    emit(
-        "breaker_state",
-        "gauge",
-        "Circuit-breaker state (1 on the active state's label).",
-        [
-            (f'{{state="{state}"}}', int(metrics.breaker_state == state))
-            for state in _BREAKER_STATES
-        ],
-    )
-    emit(
-        "uptime_seconds",
-        "gauge",
-        "Seconds since the daemon started.",
-        [("", round(metrics.uptime_seconds, 3))],
-    )
-    return "\n".join(lines) + "\n"
+    return render_prometheus(SERVE_FAMILIES, payload, prefix)

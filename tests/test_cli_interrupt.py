@@ -1,7 +1,10 @@
 """Signal discipline of ``repro check``: SIGINT/SIGTERM mid-run must
 produce one clean ``ENGINE INTERRUPTED`` diagnostic and exit 130 — no
 traceback, no partial report — and a typo'd ``REPRO_FAULTS`` must be a
-one-line usage error at startup, not a quarantine deep in a worker."""
+one-line usage error at startup, not a quarantine deep in a worker.
+The CLI's SIGTERM handler stays inside the command: an in-process
+``main()`` gives the caller its handler back, and process-pool workers
+die on SIGTERM, so a broken pool can always be shut down."""
 
 import signal
 import subprocess
@@ -12,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import _install_interrupt_handler, main
+from repro.engine import BatchVerifier
+from repro.frontend.parse import parse_module
 from repro.paper import GOOD_MODULE
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -71,3 +77,34 @@ def test_bad_faults_env_is_a_startup_error(tmp_path):
     # The error teaches: every valid site is listed.
     assert "serve-dispatch" in completed.stderr
     assert "Traceback" not in completed.stderr
+
+
+def test_in_process_check_gives_the_sigterm_handler_back(tmp_path, capsys):
+    target = tmp_path / "good.py"
+    target.write_text(GOOD_MODULE, encoding="utf-8")
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["check", str(target)]) == 0
+    capsys.readouterr()
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def _sigterm_is_default() -> bool:
+    return signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+
+
+def test_process_pool_workers_die_on_sigterm():
+    """A worker forked under the CLI's handler gets the default back:
+    otherwise terminating a broken pool only interrupts a busy worker's
+    task, and the pool's shutdown waits for it forever."""
+    module, violations = parse_module(GOOD_MODULE)
+    verifier = BatchVerifier(module, violations, jobs=1, executor="process")
+    previous = signal.getsignal(signal.SIGTERM)
+    _install_interrupt_handler()
+    try:
+        pool = verifier._make_pool(1)
+        try:
+            assert pool.submit(_sigterm_is_default).result(timeout=60)
+        finally:
+            pool.shutdown()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
