@@ -1,7 +1,7 @@
 """Per-check memoization: one :class:`KernelCheck` per class check.
 
-The classic pipeline recomputes the same automata many times inside a
-single class check — the vacuity screen re-determinizes the projection
+Without memoization a class check recomputes the same automata many
+times — the vacuity screen re-determinizes the projection
 that the claim check already built, every strengthening mutant
 re-translates over the same observed alphabet, and each subsystem field
 re-determinizes its spec.  A ``KernelCheck`` is the bitset kernel's
@@ -24,7 +24,10 @@ from repro.automata.kernel.bitset import (
     project_bitnfa,
 )
 from repro.automata.kernel.determinize import determinize_bitset
-from repro.automata.kernel.inclusion import bitset_intersection_counterexample
+from repro.automata.kernel.inclusion import (
+    bitset_difference_counterexample,
+    bitset_intersection_counterexample,
+)
 
 if TYPE_CHECKING:
     from repro.automata.nfa import NFA
@@ -36,10 +39,9 @@ class KernelCheck:
     """Memoized bitset automata for one class check.
 
     ``max_states`` and ``deadline`` carry the check's resource budget
-    into the behavior determinization (the step the budget classically
-    guards); derived machines (spec DFAs, projections, negated-formula
-    DFAs) run under the kernel's default cap, exactly as they do on the
-    classic path.
+    into the behavior determinization (the step the budget guards);
+    derived machines (spec DFAs, projections, negated-formula DFAs) run
+    under the kernel's default cap.
     """
 
     def __init__(
@@ -94,8 +96,8 @@ class KernelCheck:
 
         This is the machine both the claim check and the vacuity screen
         need per formula — memoizing it is the single biggest saving of
-        the kernel path (the classic path rebuilds it three times per
-        holding claim: claims, the vacuity hold-check, and the mutants).
+        the kernel path (unmemoized, it is rebuilt for the claim check,
+        the vacuity hold-check, and the mutants).
         """
         found = self._projections.get(observed)
         if found is None:
@@ -123,6 +125,20 @@ class KernelCheck:
         return found
 
     # ------------------------------------------------------------------
+
+    def usage_counterexample(
+        self, spec: "ClassSpec", prefix: str
+    ) -> tuple[str, ...] | None:
+        """Shortest behavior trace whose ``prefix`` events are not a
+        complete lifecycle of ``spec``, or ``None`` if usage is valid.
+
+        The fused inclusion search with the spec side lifted on the fly
+        (events outside the field self-loop), so no difference automaton
+        is materialized.
+        """
+        return bitset_difference_counterexample(
+            self.behavior_dfa(), self.spec_dfa(spec, prefix), foreign="lift"
+        )
 
     def claim_counterexample(
         self, formula: "Formula", observed: frozenset[str]

@@ -2,17 +2,15 @@
 
 The differential harness (test_kernel_differential.py) pins the kernel
 against the classic oracle on random inputs; these tests cover the
-kernel's own contracts — representations, budgets, dispatch — directly.
+kernel's own contracts — representations, budgets, memoization — directly.
 """
 
 import pytest
 
 from repro.automata.kernel import (
-    KERNEL_ENV,
     Alphabet,
     BitDFA,
     KernelCheck,
-    KernelConfigError,
     bitdfa_to_dfa,
     bitset_difference_counterexample,
     bitset_equivalent,
@@ -20,15 +18,15 @@ from repro.automata.kernel import (
     bitset_intersection_counterexample,
     determinize_bitset,
     dfa_to_bitdfa,
-    forced_kernel,
-    kernel_name,
     minimize_bitset,
     nfa_to_bitnfa,
     project_bitnfa,
-    use_bitset,
 )
 from repro.automata.nfa import NFABuilder
+from repro.core.checker import check_parsed_class
+from repro.core.claims import check_claims
 from repro.core.limits import BudgetExceeded
+from repro.core.spec import ClassSpec
 
 
 def make_nfa(transitions, *, initial, accepting, alphabet=(), epsilon=()):
@@ -49,52 +47,28 @@ def make_nfa(transitions, *, initial, accepting, alphabet=(), epsilon=()):
 
 
 # ----------------------------------------------------------------------
-# Dispatch
+# The checker's kernel
 # ----------------------------------------------------------------------
 
-def test_default_kernel_is_bitset(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert kernel_name() == "bitset"
-    assert use_bitset()
+def test_default_kernel_is_bitset(section2_module, monkeypatch):
+    """Every check decides on the bitset kernel: the checker hands back a
+    kernel DFA, and a public check function called without a kernel
+    builds its own ``KernelCheck``."""
+    specs = {parsed.name: ClassSpec.of(parsed) for parsed in section2_module.classes}
+    bad_sector = section2_module.get_class("BadSector")
+    _result, dfa = check_parsed_class(bad_sector, specs)
+    assert isinstance(dfa, BitDFA)
 
+    asked = []
+    original = KernelCheck.claim_counterexample
 
-def test_env_selects_classic(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "classic")
-    assert kernel_name() == "classic"
-    assert not use_bitset()
+    def spy(self, formula, observed):
+        asked.append(formula)
+        return original(self, formula, observed)
 
-
-def test_env_is_normalized(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "  Bitset ")
-    assert kernel_name() == "bitset"
-
-
-def test_junk_env_raises(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "turbo")
-    with pytest.raises(KernelConfigError):
-        kernel_name()
-
-
-def test_forced_kernel_restores_environment(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "classic")
-    with forced_kernel("bitset"):
-        assert use_bitset()
-    assert kernel_name() == "classic"
-
-
-def test_forced_kernel_restores_unset(monkeypatch):
-    import os
-
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    with forced_kernel("classic"):
-        assert not use_bitset()
-    assert KERNEL_ENV not in os.environ
-
-
-def test_forced_kernel_rejects_junk():
-    with pytest.raises(KernelConfigError):
-        with forced_kernel("warp"):
-            pass  # pragma: no cover
+    monkeypatch.setattr(KernelCheck, "claim_counterexample", spy)
+    assert not check_claims(bad_sector).ok
+    assert asked
 
 
 # ----------------------------------------------------------------------

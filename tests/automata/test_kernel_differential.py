@@ -3,11 +3,12 @@
 The classic modules stay in the tree as the executable specification of
 the kernel; this harness pins the two implementations against each other
 on random NFAs (language equivalence, minimized state counts,
-counterexample words) and on every paper listing and workload generator
-(byte-identical reports).  The nightly CI job re-runs this file with a
-much larger Hypothesis budget: explicit ``max_examples`` would override
-any profile, so budgets here are scaled by ``REPRO_FUZZ_MULTIPLIER``
-(the nightly workflow sets it to 20).
+counterexample words), and pins the checker's reports byte for byte
+against the classic oracle (:mod:`tests.automata.classic_oracle`) on
+every paper listing and on generated workloads.  The nightly CI job
+re-runs this file with a much larger Hypothesis budget: explicit
+``max_examples`` would override any profile, so budgets here are scaled
+by ``REPRO_FUZZ_MULTIPLIER`` (the nightly workflow sets it to 20).
 """
 
 import os
@@ -22,7 +23,6 @@ from repro.automata.kernel import (
     bitset_intersection_counterexample,
     determinize_bitset,
     dfa_to_bitdfa,
-    forced_kernel,
     minimize_bitset,
     nfa_to_bitnfa,
     project_bitnfa,
@@ -44,6 +44,7 @@ from repro.workloads.hierarchy import (
     lifecycle_claim,
     module_source,
 )
+from tests.automata.classic_oracle import classic_report
 
 ALPHABET = ("a", "b", "c")
 MAX_STATES = 5
@@ -217,24 +218,39 @@ WORKLOAD_SHAPES = [
 ]
 
 
-def _report(source: str, kernel: str) -> str:
-    with forced_kernel(kernel):
-        return check_source(source).format()
-
-
 def test_paper_reports_byte_identical_across_kernels():
     for name, source in PAPER_SOURCES.items():
-        assert _report(source, "bitset") == _report(source, "classic"), name
+        assert check_source(source).format() == classic_report(source), name
 
 
 def test_workload_reports_byte_identical_across_kernels():
     for shape, correct in WORKLOAD_SHAPES:
         claim = lifecycle_claim(shape) if correct else None
         source = module_source(shape, correct=correct, claim=claim)
-        assert _report(source, "bitset") == _report(source, "classic"), (
+        assert check_source(source).format() == classic_report(source), (
             shape,
             correct,
         )
+
+
+@st.composite
+def hierarchy_modules(draw) -> str:
+    """Generated modules: clean or faulty usage, with or without the
+    lifecycle claim, over random small shapes and seeds."""
+    shape = HierarchyShape(
+        base_operations=draw(st.integers(min_value=2, max_value=6)),
+        subsystems=draw(st.integers(min_value=1, max_value=3)),
+        composite_operations=draw(st.integers(min_value=1, max_value=3)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    claim = lifecycle_claim(shape) if draw(st.booleans()) else None
+    return module_source(shape, correct=draw(st.booleans()), claim=claim)
+
+
+@given(hierarchy_modules())
+@settings(max_examples=_examples(50), deadline=None)
+def test_generated_reports_byte_identical_to_classic_oracle(source):
+    assert check_source(source).format() == classic_report(source)
 
 
 def test_minimized_dfa_round_trip_preserves_language():

@@ -43,15 +43,19 @@ def cache_server(tmp_path):
 
 
 @pytest.fixture(params=["local", "remote", "tiered"])
-def backend(request, tmp_path, cache_server):
+def backend(request, tmp_path):
+    # Only the remote transports start a server: shutting one down waits
+    # out serve_forever's poll interval.
     if request.param == "local":
         yield LocalDirBackend(tmp_path / "local")
-    elif request.param == "remote":
-        yield RemoteHTTPBackend(cache_server.endpoint)
+        return
+    endpoint = request.getfixturevalue("cache_server").endpoint
+    if request.param == "remote":
+        yield RemoteHTTPBackend(endpoint)
     else:
         tiered = TieredBackend(
             LocalDirBackend(tmp_path / "local"),
-            RemoteHTTPBackend(cache_server.endpoint),
+            RemoteHTTPBackend(endpoint),
             write_behind=False,
         )
         yield tiered
